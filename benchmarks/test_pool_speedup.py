@@ -3,9 +3,9 @@
 Runs the same batch of 200 sub-millisecond ``selftest`` jobs through
 both execution modes of :class:`repro.exp.ParallelRunner`:
 
-1. ``pool="per-job"`` -- the legacy isolation-maximal scheduler that
-   forks one fresh daemonic process per job, exactly what the seed
-   executed;
+1. ``pool="per-job"`` -- the isolation-maximal mode: a private
+   supervised pool that forks one fresh worker per job and retires it
+   after that single job;
 2. ``pool="persistent"`` -- the warm worker pool, pre-warmed with one
    throwaway batch so the measurement sees steady-state behaviour (a
    long-lived session pays the spawn cost once, not per batch).

@@ -1,10 +1,12 @@
 """One place for every ``REPRO_*`` runtime knob.
 
-Historically each subsystem read its own environment variables at its
-own call site with its own fallback semantics (``repro.exp.runner``,
-``repro.exp.cache``, ``repro.exp.pool``, ``repro.obs.live``,
-``repro.impls``, the CLI).  :class:`Config` gathers them into one
-documented, typed dataclass with one construction rule:
+This module is the only one in :mod:`repro` that reads the process
+environment (``tests/test_config_guard.py`` enforces it).  The
+subsystems that need a knob -- the runner, the result cache, the
+pool, the live telemetry bus, the run DB, :mod:`repro.impls`, the CLI
+-- take their defaults from :meth:`Config.from_env`, which gathers
+every knob into one documented, typed dataclass with one construction
+rule:
 
     **explicit argument > environment variable > built-in default**
 
@@ -47,6 +49,10 @@ field                  environment variable    meaning
 The CLI and the job server both build their runtime from here (see
 :meth:`Config.runner`), so the precedence rule is enforced in exactly
 one module and locked by ``tests/test_api.py``.
+
+The module imports nothing from :mod:`repro`, so every layer -- down to
+the placer, router and simulator selectors -- can import it without a
+cycle.  It also owns the scheduler and implementation vocabularies.
 """
 
 from __future__ import annotations
@@ -54,9 +60,35 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
-__all__ = ["Config", "UNSET"]
+__all__ = ["BATCHED", "Config", "INCREMENTAL", "POOL_MODES",
+           "POOL_PERSISTENT", "POOL_PER_JOB", "SCALAR", "UNSET",
+           "artifact_dir", "cache_home"]
+
+#: Scheduler names (``Config.pool`` / ``REPRO_POOL``).
+POOL_PERSISTENT = "persistent"
+POOL_PER_JOB = "per-job"
+POOL_MODES = (POOL_PERSISTENT, POOL_PER_JOB)
+
+#: Implementation names (``Config.*_impl`` / ``REPRO_*_IMPL``); which
+#: domain accepts which is :mod:`repro.impls`' business.
+SCALAR = "scalar"
+BATCHED = "batched"
+INCREMENTAL = "incremental"
+_IMPLS = (SCALAR, BATCHED, INCREMENTAL)
+
+#: Variable names other modules need (they re-export them).
+ENV_CACHE_DIR = "REPRO_CACHE_DIR"
+ENV_TRACE = "REPRO_TRACE"
+ENV_RUN_DB = "REPRO_RUN_DB"
+ENV_TELEMETRY = "REPRO_TELEMETRY"
+ENV_HB_INTERVAL = "REPRO_HB_INTERVAL"
+ENV_SCALAR_ORACLE = "REPRO_SCALAR_ORACLE"
+ENV_SIM_IMPL = "REPRO_SIM_IMPL"
+ENV_PLACE_IMPL = "REPRO_PLACE_IMPL"
+ENV_ROUTE_IMPL = "REPRO_ROUTE_IMPL"
 
 
 class _Unset:
@@ -79,11 +111,16 @@ _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("", "0", "false", "no", "off")
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_num(name: str, cast: type, default: Any = None) -> Any:
     try:
-        return int(os.environ[name])
+        return cast(os.environ[name])
     except (KeyError, ValueError):
         return default
+
+
+def _positive(value: Any, fallback: Any) -> Any:
+    """``value`` if set and positive, else ``fallback``."""
+    return value if value is not None and value > 0 else fallback
 
 
 def _env_bool(name: str, default: bool) -> bool:
@@ -98,61 +135,36 @@ def _env_str(name: str) -> str | None:
     return raw if raw else None
 
 
-def _env_timeout() -> float | None:
-    try:
-        value = float(os.environ["REPRO_JOB_TIMEOUT"])
-    except (KeyError, ValueError):
-        return None
-    return value if value > 0 else None
-
-
-def _env_chunk() -> int | None:
-    try:
-        value = int(os.environ["REPRO_CHUNK"])
-    except (KeyError, ValueError):
-        return None
-    return value if value > 0 else None
-
-
 def _env_pool() -> str:
     raw = os.environ.get("REPRO_POOL", "").strip().lower()
-    return raw if raw in ("persistent", "per-job") else "persistent"
-
-
-def _env_lru_mb() -> float:
-    try:
-        value = float(os.environ["REPRO_CACHE_LRU_MB"])
-    except (KeyError, ValueError):
-        return 64.0
-    return max(0.0, value)
-
-
-def _env_shm_min_bytes() -> int | None:
-    from ..exp.pool import shm_min_bytes
-    return shm_min_bytes()
+    return raw if raw in POOL_MODES else POOL_PERSISTENT
 
 
 def _env_telemetry() -> tuple[bool, str | None]:
-    raw = os.environ.get("REPRO_TELEMETRY", "").strip()
+    raw = os.environ.get(ENV_TELEMETRY, "").strip()
     enabled = raw.lower() not in _FALSY
     if enabled and raw.lower() not in _TRUTHY:
         return True, raw
     return enabled, None
 
 
-def _env_hb_interval() -> float:
-    try:
-        value = float(os.environ["REPRO_HB_INTERVAL"])
-    except (KeyError, ValueError):
-        return 0.5
-    return value if value > 0 else 0.5
-
-
 def _env_impl(name: str) -> str:
-    from .. import impls
     raw = os.environ.get(name, "").strip().lower()
-    return raw if raw in (impls.SCALAR, impls.BATCHED,
-                          impls.INCREMENTAL) else "auto"
+    return raw if raw in _IMPLS else "auto"
+
+
+def artifact_dir() -> str | None:
+    """``REPRO_ARTIFACT_DIR``: the job server's artifact-store root.
+
+    Not a :class:`Config` field -- only :mod:`repro.serve` keeps
+    artifacts, and it prefers an explicit ``--artifacts`` path.
+    """
+    return _env_str("REPRO_ARTIFACT_DIR")
+
+
+def cache_home() -> Path:
+    """``$XDG_CACHE_HOME``, else ``~/.cache``."""
+    return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache"))
 
 
 @dataclass(frozen=True)
@@ -169,7 +181,7 @@ class Config:
     cache_dir: str | None = None
     cache_lru_mb: float = 64.0
     job_timeout_s: float | None = None
-    pool: str = "persistent"
+    pool: str = POOL_PERSISTENT
     chunk: int | None = None
     shm_min_bytes: int | None = 64 * 1024
     telemetry: bool = False
@@ -183,8 +195,8 @@ class Config:
     scalar_oracle: bool = False
 
     def __post_init__(self):
-        if self.pool not in ("persistent", "per-job"):
-            raise ValueError(f"pool must be 'persistent' or 'per-job', "
+        if self.pool not in POOL_MODES:
+            raise ValueError(f"pool must be one of {POOL_MODES}, "
                              f"got {self.pool!r}")
 
     # ------------------------------------------------------------------
@@ -204,23 +216,27 @@ class Config:
             raise TypeError(f"unknown Config field(s): {sorted(unknown)}")
         telemetry, telemetry_dir = _env_telemetry()
         env_values: dict[str, Any] = {
-            "jobs": _env_int("REPRO_JOBS", 1),
+            "jobs": _env_num("REPRO_JOBS", int, 1),
             "cache": not _env_bool("REPRO_NO_CACHE", False),
-            "cache_dir": _env_str("REPRO_CACHE_DIR"),
-            "cache_lru_mb": _env_lru_mb(),
-            "job_timeout_s": _env_timeout(),
+            "cache_dir": _env_str(ENV_CACHE_DIR),
+            "cache_lru_mb": max(
+                0.0, _env_num("REPRO_CACHE_LRU_MB", float, 64.0)),
+            "job_timeout_s": _positive(
+                _env_num("REPRO_JOB_TIMEOUT", float), None),
             "pool": _env_pool(),
-            "chunk": _env_chunk(),
-            "shm_min_bytes": _env_shm_min_bytes(),
+            "chunk": _positive(_env_num("REPRO_CHUNK", int), None),
+            "shm_min_bytes": _positive(
+                _env_num("REPRO_SHM_MIN_BYTES", int, 64 * 1024), None),
             "telemetry": telemetry,
             "telemetry_dir": telemetry_dir,
-            "hb_interval_s": _env_hb_interval(),
-            "trace": _env_str("REPRO_TRACE"),
-            "run_db": _env_str("REPRO_RUN_DB"),
-            "sim_impl": _env_impl("REPRO_SIM_IMPL"),
-            "place_impl": _env_impl("REPRO_PLACE_IMPL"),
-            "route_impl": _env_impl("REPRO_ROUTE_IMPL"),
-            "scalar_oracle": _env_bool("REPRO_SCALAR_ORACLE", False),
+            "hb_interval_s": _positive(
+                _env_num(ENV_HB_INTERVAL, float), 0.5),
+            "trace": _env_str(ENV_TRACE),
+            "run_db": _env_str(ENV_RUN_DB),
+            "sim_impl": _env_impl(ENV_SIM_IMPL),
+            "place_impl": _env_impl(ENV_PLACE_IMPL),
+            "route_impl": _env_impl(ENV_ROUTE_IMPL),
+            "scalar_oracle": _env_bool(ENV_SCALAR_ORACLE, False),
         }
         for name, value in overrides.items():
             if value is not UNSET:
@@ -241,33 +257,33 @@ class Config:
         if not self.cache:
             out["REPRO_NO_CACHE"] = "1"
         if self.cache_dir:
-            out["REPRO_CACHE_DIR"] = str(self.cache_dir)
+            out[ENV_CACHE_DIR] = str(self.cache_dir)
         if self.cache_lru_mb != 64.0:
             out["REPRO_CACHE_LRU_MB"] = repr(self.cache_lru_mb)
         if self.job_timeout_s is not None:
             out["REPRO_JOB_TIMEOUT"] = repr(self.job_timeout_s)
-        if self.pool != "persistent":
+        if self.pool != POOL_PERSISTENT:
             out["REPRO_POOL"] = self.pool
         if self.chunk is not None:
             out["REPRO_CHUNK"] = str(self.chunk)
         if self.shm_min_bytes != 64 * 1024:
             out["REPRO_SHM_MIN_BYTES"] = str(self.shm_min_bytes or 0)
         if self.telemetry:
-            out["REPRO_TELEMETRY"] = self.telemetry_dir or "1"
+            out[ENV_TELEMETRY] = self.telemetry_dir or "1"
         if self.hb_interval_s != 0.5:
-            out["REPRO_HB_INTERVAL"] = repr(self.hb_interval_s)
+            out[ENV_HB_INTERVAL] = repr(self.hb_interval_s)
         if self.trace:
-            out["REPRO_TRACE"] = str(self.trace)
+            out[ENV_TRACE] = str(self.trace)
         if self.run_db:
-            out["REPRO_RUN_DB"] = str(self.run_db)
+            out[ENV_RUN_DB] = str(self.run_db)
         if self.sim_impl != "auto":
-            out["REPRO_SIM_IMPL"] = self.sim_impl
+            out[ENV_SIM_IMPL] = self.sim_impl
         if self.place_impl != "auto":
-            out["REPRO_PLACE_IMPL"] = self.place_impl
+            out[ENV_PLACE_IMPL] = self.place_impl
         if self.route_impl != "auto":
-            out["REPRO_ROUTE_IMPL"] = self.route_impl
+            out[ENV_ROUTE_IMPL] = self.route_impl
         if self.scalar_oracle:
-            out["REPRO_SCALAR_ORACLE"] = "1"
+            out[ENV_SCALAR_ORACLE] = "1"
         return out
 
     # ------------------------------------------------------------------

@@ -18,11 +18,12 @@ Typical use::
              for w in (1.0, 2.0, 4.0)]
     points = runner.run_values(specs)
 
-Two schedulers implement the same contract (``pool=`` / ``REPRO_POOL``):
-the default ``"persistent"`` mode keeps warm workers alive across
-batches (:mod:`repro.exp.pool` -- chunked dispatch, shared-memory
-result transport), while ``"per-job"`` forks a fresh process per
-attempt for maximal isolation.
+One scheduler, the supervised worker pool (:mod:`repro.exp.pool`),
+runs both modes of ``pool=`` / ``REPRO_POOL``: the default
+``"persistent"`` mode keeps warm workers alive across batches (chunked
+dispatch, shared-memory result transport), while ``"per-job"`` gives
+every job attempt its own fresh worker from a private pool that serves
+one job per worker.
 
 Every experiment driver in :mod:`repro.circuit.experiments` accepts a
 ``runner=`` argument; with none given they consult ``REPRO_JOBS`` /

@@ -26,26 +26,16 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterator
 
-__all__ = ["ResultCache", "NullCache", "default_cache_dir"]
+from ..api.config import Config
 
-_ENV_VAR = "REPRO_CACHE_DIR"
-ENV_LRU_MB = "REPRO_CACHE_LRU_MB"
-DEFAULT_LRU_MB = 64.0
+__all__ = ["ResultCache", "NullCache", "default_cache_dir"]
 
 
 def default_cache_dir() -> Path:
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        return Path(env)
+    cache_dir = Config.from_env().cache_dir
+    if cache_dir:
+        return Path(cache_dir)
     return Path.home() / ".cache" / "repro-exp"
-
-
-def _default_lru_bytes() -> int:
-    try:
-        mb = float(os.environ.get(ENV_LRU_MB, DEFAULT_LRU_MB))
-    except ValueError:
-        mb = DEFAULT_LRU_MB
-    return max(0, int(mb * 1024 * 1024))
 
 
 class ResultCache:
@@ -65,9 +55,8 @@ class ResultCache:
         self.puts = 0
         self.lru_hits = 0
         if lru_mb is None:
-            self._lru_limit = _default_lru_bytes()
-        else:
-            self._lru_limit = max(0, int(lru_mb * 1024 * 1024))
+            lru_mb = Config.from_env().cache_lru_mb
+        self._lru_limit = max(0, int(lru_mb * 1024 * 1024))
         self._lru: OrderedDict[str, bytes] = OrderedDict()
         self._lru_bytes = 0
 

@@ -1,41 +1,38 @@
-"""Persistent warm worker pool with shared-memory result transport.
+"""Supervised worker pool with shared-memory result transport.
 
-The legacy scheduler (:meth:`repro.exp.runner.ParallelRunner._run_pool`)
-forks one fresh daemonic process *per job*: maximal isolation, but every
-one of the hundreds of sub-millisecond jobs in a table/figure study pays
-process startup, ``_WorkerSettings`` replay and a full pickle round-trip.
-This module provides the throughput-oriented alternative:
+This is the one process scheduler behind
+:class:`~repro.exp.runner.ParallelRunner`; both execution modes run on
+it:
 
-* :class:`PersistentPool` spawns ``jobs`` long-lived workers once and
-  keeps them alive **across batches** via the module-level registry
-  (:func:`get_pool`), so a warm pool serves a new batch with zero spawn
-  cost.  Workers pull *chunks* of jobs from their pipe and stream one
-  result message back per job, so per-job ``timeout_s``/``retries``,
-  span grafting and as-they-finish cache writes all still operate at
-  job granularity.
-* Crash isolation is preserved by supervision instead of per-job
-  processes: a worker that dies or overruns its deadline is killed and
-  **replaced**, the in-flight job is reported as a structured
-  :class:`~repro.exp.runner.JobError` (``kind="crash"``/``"timeout"``),
-  and the rest of its chunk is re-queued untouched (those jobs never
-  started, so no retry attempt is consumed).
+* :class:`PersistentPool` spawns ``jobs`` long-lived workers.  In the
+  default ``"persistent"`` mode they are kept alive **across batches**
+  via the module-level registry (:func:`get_pool`), so a warm pool
+  serves a new batch with zero spawn cost.  Workers pull *chunks* of
+  jobs from their pipe and stream one result message back per job, so
+  per-job ``timeout_s``/``retries``, span grafting and as-they-finish
+  cache writes all still operate at job granularity.
+* In ``"per-job"`` mode the runner builds a private pool for one batch
+  (never registered, chunk size 1) and retires each worker after the
+  single job attempt it served, so every attempt runs in a fresh
+  process that no other job shares.
+* Crash isolation is preserved by supervision: a worker that dies or
+  overruns its deadline is killed and **replaced**, the in-flight job
+  is reported as a structured :class:`~repro.exp.runner.JobError`
+  (``kind="crash"``/``"timeout"``), and the rest of its chunk is
+  re-queued untouched (those jobs never started, so no retry attempt
+  is consumed).
 * Large contiguous float arrays in a result are moved through
   ``multiprocessing.shared_memory`` segments instead of being pickled
   through the pipe: the worker memcpys the array into a segment and
   sends a tiny :class:`ShmRef`; the parent maps the segment, copies the
   rows out at memory bandwidth and unlinks it.  ``REPRO_SHM_MIN_BYTES``
   tunes the cutoff (default 64 KiB; ``0`` disables the transport).
-
-The legacy process-per-job scheduler stays selectable
-(``pool="per-job"`` / ``REPRO_POOL=per-job``) as the isolation-maximal
-oracle, mirroring the :mod:`repro.impls` pattern for compute kernels.
 """
 
 from __future__ import annotations
 
 import atexit
 import dataclasses
-import os
 import time
 import traceback
 from collections import deque
@@ -44,6 +41,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .. import obs
+from ..api.config import Config
 
 __all__ = ["PersistentPool", "ShmRef", "decode_value", "encode_value",
            "get_pool", "shutdown_pools", "spawn_count"]
@@ -57,24 +55,13 @@ _spawn_total = 0
 def spawn_count() -> int:
     return _spawn_total
 
-#: Minimum array payload (bytes) that rides shared memory instead of the
-#: pipe.  ``0`` (or any non-positive value) disables the transport.
-ENV_SHM_MIN_BYTES = "REPRO_SHM_MIN_BYTES"
-DEFAULT_SHM_MIN_BYTES = 64 * 1024
-
 _STOP = ("stop",)
 
 
 def shm_min_bytes() -> int | None:
-    """The configured shared-memory cutoff; ``None`` means disabled."""
-    raw = os.environ.get(ENV_SHM_MIN_BYTES)
-    if raw is None:
-        return DEFAULT_SHM_MIN_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_SHM_MIN_BYTES
-    return value if value > 0 else None
+    """Minimum array payload (bytes) that rides shared memory instead
+    of the pipe (``REPRO_SHM_MIN_BYTES``); ``None`` means disabled."""
+    return Config.from_env().shm_min_bytes
 
 
 class ShmRef:
@@ -346,8 +333,7 @@ class _PoolWorker:
         self.sent_at = 0.0
         self.job_started_at = 0.0
         #: jobs this worker has completed over its lifetime (the
-        #: ``exp.pool.reuse`` metric -- the per-job scheduler is pinned
-        #: at 1 by construction).
+        #: ``exp.pool.reuse`` metric -- pinned at 1 in per-job mode).
         self.served = 0
 
 
@@ -395,6 +381,14 @@ class PersistentPool:
         self.workers[self.workers.index(worker)] = fresh
         return fresh
 
+    def add_worker(self) -> None:
+        self.workers.append(self._spawn())
+
+    def retire(self, worker: _PoolWorker, *, force: bool = False) -> None:
+        """Stop a worker for good and drop it from the pool."""
+        self._stop(worker, force=force)
+        self.workers.remove(worker)
+
     def ensure_healthy(self) -> None:
         """Replace dead workers and any abandoned mid-chunk.
 
@@ -427,7 +421,8 @@ class PersistentPool:
 
     def close(self) -> None:
         for worker in self.workers:
-            self._stop(worker)
+            # A worker still holding jobs was abandoned mid-batch.
+            self._stop(worker, force=bool(worker.inflight))
         self.workers = []
         try:
             self.telemetry.close()

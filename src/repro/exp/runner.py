@@ -11,28 +11,31 @@ down the batch.
 
 Execution modes
 ---------------
-Two schedulers implement the same contract and produce bit-identical
-results (``pool=`` argument / ``REPRO_POOL``):
+One scheduler, the supervised worker pool of :mod:`repro.exp.pool`,
+runs every batch that needs worker processes; ``pool=`` (or
+``REPRO_POOL``) picks how it treats its workers.  Both modes produce
+bit-identical results:
 
 ``"persistent"`` (default)
     Long-lived warm workers shared across batches through a
-    module-level pool handle (:mod:`repro.exp.pool`), small jobs
-    chunked per dispatch to amortize IPC, and large result arrays
-    moved through ``multiprocessing.shared_memory`` instead of the
-    pipe.  A worker that crashes or overruns a deadline is killed and
-    replaced by the supervisor; the rest of its chunk is re-queued
-    without consuming retry attempts.
+    module-level pool handle, small jobs chunked per dispatch to
+    amortize IPC, and large result arrays moved through
+    ``multiprocessing.shared_memory`` instead of the pipe.
 
 ``"per-job"``
-    The isolation-maximal oracle: every job attempt runs in its own
-    fresh daemonic process, so a worker that is killed, OOMs or calls
-    ``os._exit`` can never carry state into another job.
+    The supervised pool with one job per worker: a private pool,
+    spawned for the batch and never shared, dispatches one job at a
+    time and retires each worker after its single attempt, so a job
+    that leaks memory, mutates globals or calls ``os._exit`` can never
+    carry state into another job.
 
-In both modes a per-job ``timeout_s`` (on the spec, on the runner, or
-via ``REPRO_JOB_TIMEOUT``) terminates overdue workers and reports
-``error.kind == "timeout"``; a dead worker yields ``error.kind ==
-"crash"``; ``JobSpec.retries`` re-runs a failed job with exponential
-backoff before giving up.
+In both modes a worker that crashes or overruns a deadline is killed
+and replaced by the supervisor (the rest of a persistent worker's
+chunk is re-queued without consuming retry attempts); a per-job
+``timeout_s`` (on the spec, on the runner, or via
+``REPRO_JOB_TIMEOUT``) reports ``error.kind == "timeout"``; a dead
+worker yields ``error.kind == "crash"``; ``JobSpec.retries`` re-runs a
+failed job with exponential backoff before giving up.
 
 Checkpointing
 -------------
@@ -56,31 +59,19 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .. import obs
+from ..api.config import (ENV_CACHE_DIR, POOL_MODES, POOL_PER_JOB,
+                          POOL_PERSISTENT, Config)
 from .cache import NullCache, ResultCache
 from .jobspec import JobSpec
 
 __all__ = ["JobError", "JobFailedError", "JobResult", "ParallelRunner",
-           "default_runner"]
-
-#: Environment knobs honoured by :func:`default_runner` (and therefore
-#: by every experiment driver that does not pass an explicit runner).
-ENV_JOBS = "REPRO_JOBS"
-ENV_NO_CACHE = "REPRO_NO_CACHE"
-ENV_JOB_TIMEOUT = "REPRO_JOB_TIMEOUT"
-ENV_POOL = "REPRO_POOL"
-ENV_CHUNK = "REPRO_CHUNK"
-
-POOL_PERSISTENT = "persistent"
-POOL_PER_JOB = "per-job"
-_POOL_MODES = (POOL_PERSISTENT, POOL_PER_JOB)
+           "POOL_PERSISTENT", "POOL_PER_JOB", "default_runner"]
 
 #: Chunking bounds for the persistent pool: never group more than this
 #: many jobs per dispatch, and aim for this many chunks per worker so
 #: stragglers still load-balance.
 CHUNK_MAX = 32
 CHUNK_OVERSUBSCRIBE = 4
-
-_TRUTHY = ("1", "true", "yes", "on")
 
 
 @dataclass(frozen=True)
@@ -175,7 +166,7 @@ class _WorkerSettings:
     env: dict[str, str] | None = None
 
     #: Environment knobs snapshotted into every worker.
-    FORWARDED = (obs.ENV_TRACE, obs.ENV_RUN_DB, "REPRO_CACHE_DIR",
+    FORWARDED = (obs.ENV_TRACE, obs.ENV_RUN_DB, ENV_CACHE_DIR,
                  obs.live.ENV_TELEMETRY, obs.live.ENV_HB_INTERVAL)
 
     @classmethod
@@ -201,30 +192,6 @@ class _WorkerSettings:
                 os.environ.pop(k, None)
 
 
-def _worker_main(conn, spec: JobSpec,
-                 settings: _WorkerSettings | None = None) -> None:
-    """Child entry: execute, then report result + trace + metrics."""
-    if settings is not None:
-        settings.apply()
-    tr = obs.Tracer()
-    ms = obs.MetricSet()
-    with obs.capture(tr), obs.metrics.collect(ms):
-        value, seconds, err = _execute_spec(spec)
-    try:
-        try:
-            conn.send((value, seconds, err, tr.export(), ms.export()))
-        except Exception as exc:
-            # The value itself would not pickle: report that as a task
-            # error rather than dying silently (which would look like a
-            # crash to the parent).
-            err = JobError(exc_type=type(exc).__name__,
-                           message=f"job result not picklable: {exc}",
-                           traceback=traceback.format_exc())
-            conn.send((None, seconds, err, tr.export(), ms.export()))
-    finally:
-        conn.close()
-
-
 @dataclass
 class _Pending:
     """A job attempt waiting for a worker slot."""
@@ -232,18 +199,6 @@ class _Pending:
     index: int
     attempt: int
     ready_at: float     # monotonic time before which it must not start
-
-
-@dataclass
-class _Active:
-    """A job attempt currently running in a worker process."""
-
-    index: int
-    attempt: int
-    proc: Any
-    conn: Any
-    started: float
-    deadline: float | None
 
 
 class ParallelRunner:
@@ -264,19 +219,19 @@ class ParallelRunner:
                       state is forwarded explicitly (see
                       :class:`_WorkerSettings`), so spans and metrics
                       survive any start method.
-    ``pool``          scheduler: ``"persistent"`` (warm shared pool,
-                      the default) or ``"per-job"`` (fresh process per
-                      attempt).  ``None`` reads ``REPRO_POOL``; an
-                      unrecognized environment value falls back to
-                      ``"persistent"``, an unrecognized argument raises.
-    ``chunk``         jobs grouped per pool dispatch.  ``None`` reads
-                      ``REPRO_CHUNK``, else sizes chunks automatically
-                      from the batch (``1`` disables chunking; ignored
-                      by the per-job scheduler).
+    ``pool``          pool mode: ``"persistent"`` (warm shared pool,
+                      the default) or ``"per-job"`` (one job per
+                      worker, a fresh process per attempt).  An
+                      unrecognized argument raises.
+    ``chunk``         jobs grouped per pool dispatch; ``None`` sizes
+                      chunks automatically from the batch (``1``
+                      disables chunking; per-job mode always uses 1).
 
-    Execution is inline (in-process) only when ``jobs == 1`` and no job
-    has a timeout; otherwise the selected scheduler keeps crashes and
-    timeouts isolated in worker processes.
+    ``timeout_s``, ``pool`` and ``chunk`` left at ``None`` fall back to
+    :meth:`repro.api.Config.from_env` (``REPRO_JOB_TIMEOUT``,
+    ``REPRO_POOL``, ``REPRO_CHUNK``).  Execution is inline (in-process)
+    only when ``jobs == 1`` and no job has a timeout; otherwise the
+    pool keeps crashes and timeouts isolated in worker processes.
     """
 
     def __init__(self, jobs: int = 1, *,
@@ -295,31 +250,24 @@ class ParallelRunner:
             cache = ResultCache() if use_cache else NullCache()
         self.cache = cache
         self.code_version = code_version
+        env = Config.from_env()
         if timeout_s is None:
-            try:
-                timeout_s = float(os.environ[ENV_JOB_TIMEOUT])
-            except (KeyError, ValueError):
-                timeout_s = None
-        # Non-positive means "no timeout" whether it came from the
-        # environment or an explicit argument (an explicit 0 lets
-        # callers disable a timeout without re-reading the env).
+            timeout_s = env.job_timeout_s
+        # Non-positive means "no timeout" (an explicit 0 lets callers
+        # disable a timeout without consulting the environment).
         if timeout_s is not None and timeout_s <= 0:
             timeout_s = None
         self.timeout_s = timeout_s
         self.backoff_s = backoff_s
         self.start_method = start_method
         if pool is None:
-            env = os.environ.get(ENV_POOL, "").strip().lower()
-            pool = env if env in _POOL_MODES else POOL_PERSISTENT
-        elif pool not in _POOL_MODES:
+            pool = env.pool
+        elif pool not in POOL_MODES:
             raise ValueError(
-                f"pool must be one of {_POOL_MODES}, got {pool!r}")
+                f"pool must be one of {POOL_MODES}, got {pool!r}")
         self.pool = pool
         if chunk is None:
-            try:
-                chunk = int(os.environ[ENV_CHUNK])
-            except (KeyError, ValueError):
-                chunk = None
+            chunk = env.chunk
         # As with timeout_s: non-positive always means automatic.
         if chunk is not None and chunk <= 0:
             chunk = None
@@ -357,12 +305,10 @@ class ParallelRunner:
                     if inline:
                         for i in pending:
                             results[i] = self._run_inline(specs[i],
-                                                          keys[i])
-                    elif self.pool == POOL_PER_JOB:
-                        self._run_pool(specs, keys, results, pending)
+                                                          keys[i], hub)
                     else:
                         self._run_persistent(specs, keys, results,
-                                             pending)
+                                             pending, hub)
             finally:
                 if hub is not None:
                     hub.batch_finished()
@@ -401,8 +347,7 @@ class ParallelRunner:
         return self.backoff_s * (2 ** (failed_attempt - 1))
 
     # -- inline path (serial, no timeouts) ------------------------------
-    def _run_inline(self, spec: JobSpec, key: str) -> JobResult:
-        hub = obs.live.session_hub()
+    def _run_inline(self, spec: JobSpec, key: str, hub) -> JobResult:
         attempt = 0
         while True:
             attempt += 1
@@ -424,146 +369,6 @@ class ParallelRunner:
         return JobResult(spec=spec, key=key, value=value,
                          seconds=seconds, error=err, attempts=attempt)
 
-    # -- pooled path (process-per-job scheduler) ------------------------
-    def _run_pool(self, specs: Sequence[JobSpec], keys: Sequence[str],
-                  results: list[JobResult | None],
-                  pending_idx: list[int]) -> None:
-        import multiprocessing as mp
-        from multiprocessing.connection import wait as conn_wait
-
-        ctx = mp.get_context(self.start_method)
-        hub = obs.live.session_hub()
-        settings = _WorkerSettings.snapshot()
-        queue: deque[_Pending] = deque(
-            _Pending(i, 1, 0.0) for i in pending_idx)
-        active: list[_Active] = []
-
-        def launch(item: _Pending) -> None:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, specs[item.index],
-                                     settings),
-                               daemon=True)
-            proc.start()
-            child_conn.close()
-            now = time.monotonic()
-            t = self._timeout_for(specs[item.index])
-            active.append(_Active(item.index, item.attempt, proc,
-                                  parent_conn, now,
-                                  now + t if t is not None else None))
-
-        def finalize(index: int, attempt: int, value: Any,
-                     seconds: float, err: JobError | None,
-                     spans: list | None = None,
-                     metric_rows: list | None = None) -> None:
-            spec = specs[index]
-            if err is not None and attempt <= spec.retries:
-                obs.emit("exp.job", seconds=seconds, kind=spec.kind,
-                         attempt=attempt, outcome=f"retry:{err.kind}")
-                if hub is not None:
-                    hub.job_retried(spec.kind)
-                backoff = self._backoff(attempt)
-                obs.metrics.metric_set().dist("exp.retry_wait_s",
-                                              backoff)
-                queue.append(_Pending(
-                    index, attempt + 1, time.monotonic() + backoff))
-                return
-            results[index] = JobResult(
-                spec=spec, key=keys[index], value=value,
-                seconds=seconds, error=err, attempts=attempt)
-            if hub is not None:
-                hub.job_finished(spec.kind, err is None, seconds)
-            job_id = obs.emit(
-                "exp.job", seconds=seconds, kind=spec.kind,
-                attempt=attempt,
-                outcome="ok" if err is None else err.kind)
-            if spans:
-                obs.adopt(spans, parent_id=job_id)
-            if err is None:
-                if metric_rows:
-                    obs.metrics.metric_set().merge(metric_rows)
-                self.cache.put(keys[index], value)
-
-        def stop_proc(proc) -> None:
-            proc.terminate()
-            proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(1.0)
-
-        def reap(a: _Active, *, timed_out: bool = False) -> None:
-            active.remove(a)
-            elapsed = time.monotonic() - a.started
-            if timed_out:
-                stop_proc(a.proc)
-                a.conn.close()
-                t = self._timeout_for(specs[a.index])
-                err = JobError(exc_type="TimeoutError",
-                               message=f"job exceeded timeout of {t}s",
-                               kind="timeout")
-                finalize(a.index, a.attempt, None, elapsed, err)
-                return
-            try:
-                payload = a.conn.recv()
-            except (EOFError, OSError):
-                payload = None
-            a.conn.close()
-            a.proc.join(5.0)
-            if a.proc.is_alive():
-                stop_proc(a.proc)
-            if payload is None:
-                # Worker died without reporting: killed, OOM'd,
-                # os._exit, or an interpreter-level fault.
-                err = JobError(
-                    exc_type="WorkerCrashed",
-                    message=(f"worker exited with code "
-                             f"{a.proc.exitcode} before returning "
-                             f"a result"),
-                    kind="crash")
-                finalize(a.index, a.attempt, None, elapsed, err)
-            else:
-                value, seconds, err, spans, metric_rows = payload
-                finalize(a.index, a.attempt, value, seconds, err,
-                         spans, metric_rows)
-
-        try:
-            while queue or active:
-                if hub is not None:
-                    hub.progress(len(queue), len(active))
-                now = time.monotonic()
-                if len(active) < self.jobs and queue:
-                    ready = [p for p in queue if p.ready_at <= now]
-                    while ready and len(active) < self.jobs:
-                        item = ready.pop(0)
-                        queue.remove(item)
-                        launch(item)
-                if not active:
-                    # Only backoff-delayed retries remain: sleep until
-                    # the soonest becomes ready (a capped slice here
-                    # would wake the scheduler repeatedly for nothing).
-                    wake = min(p.ready_at for p in queue)
-                    time.sleep(max(0.0, wake - time.monotonic()))
-                    continue
-                waits = [a.deadline - now for a in active
-                         if a.deadline is not None]
-                waits += [p.ready_at - now for p in queue
-                          if p.ready_at > now]
-                timeout = max(0.0, min(waits)) if waits else None
-                ready_conns = conn_wait([a.conn for a in active],
-                                        timeout)
-                for a in [x for x in active if x.conn in ready_conns]:
-                    reap(a)
-                now = time.monotonic()
-                for a in [x for x in active
-                          if x.deadline is not None
-                          and x.deadline <= now]:
-                    reap(a, timed_out=True)
-        finally:
-            # On interruption never leave orphan workers behind.
-            for a in active:
-                stop_proc(a.proc)
-                a.conn.close()
-
     # -- persistent-pool path (warm workers, chunked dispatch) ----------
     def _chunk_target(self, n_pending: int) -> int:
         """Jobs per dispatch: explicit ``chunk``, else batch-derived so
@@ -577,31 +382,43 @@ class ParallelRunner:
     def _run_persistent(self, specs: Sequence[JobSpec],
                         keys: Sequence[str],
                         results: list[JobResult | None],
-                        pending_idx: list[int]) -> None:
-        """Schedule the batch over the shared warm pool.
+                        pending_idx: list[int], hub) -> None:
+        """Schedule the batch over the supervised worker pool.
 
-        Same contract as :meth:`_run_pool` -- submission-order results,
-        per-job timeouts/retries, crash isolation, as-they-finish cache
-        writes, span/metric grafting -- but workers persist across
-        batches, jobs travel in chunks, and one streamed message per
-        job comes back (so a chunk never delays its siblings' results).
-        The head of a worker's chunk is the job actually executing;
-        when the worker dies or overruns that job's deadline, only the
-        head is charged with the failure -- the rest of the chunk never
-        started and is re-queued with its attempt count untouched.
+        Submission-order results, per-job timeouts/retries, crash
+        isolation, as-they-finish cache writes and span/metric grafting
+        hold in both pool modes; one streamed message per job comes
+        back, so a chunk never delays its siblings' results.  The head
+        of a worker's chunk is the job actually executing; when the
+        worker dies or overruns that job's deadline, only the head is
+        charged with the failure -- the rest of the chunk never started
+        and is re-queued with its attempt count untouched.
+
+        Persistent mode uses the shared warm pool and chunked dispatch.
+        Per-job mode builds a private pool for this batch, dispatches
+        one job per worker and retires every worker after the job it
+        served, topping the pool up with fresh workers as jobs become
+        ready.
         """
+        import multiprocessing as mp
         from multiprocessing.connection import wait as conn_wait
         from . import pool as pool_mod
 
         ms = obs.metrics.metric_set()
         spawned_before = pool_mod.spawn_count()
-        pl = pool_mod.get_pool(self.jobs, self.start_method)
+        per_job = self.pool == POOL_PER_JOB
+        if per_job:
+            pl = pool_mod.PersistentPool(
+                min(self.jobs, len(pending_idx)),
+                mp.get_context(self.start_method))
+            chunk_target = 1
+        else:
+            pl = pool_mod.get_pool(self.jobs, self.start_method)
+            chunk_target = self._chunk_target(len(pending_idx))
         settings = _WorkerSettings.snapshot()
         queue: deque[_Pending] = deque(
             _Pending(i, 1, 0.0) for i in pending_idx)
-        chunk_target = self._chunk_target(len(pending_idx))
         ms.gauge("exp.pool.workers", len(pl.workers))
-        hub = obs.live.session_hub()
         stalled_prev: list[int] | None = None
         if hub is not None:
             hub.attach(pl.telemetry)
@@ -658,17 +475,28 @@ class ParallelRunner:
                              f"a result"),
                     kind="crash")
             finalize(head, None, elapsed, err)
-            pl.replace(w)
-            if hub is not None:
-                hub.forget_worker(w.proc.pid)
+            recycle(w, force=True)
 
         def on_broken(w) -> None:
             if w.inflight:
                 fail_head(w, "crash")
             else:
+                recycle(w, force=True)
+
+        def recycle(w, *, force: bool) -> None:
+            """Take ``w`` out of service: a persistent worker is
+            replaced in place, a per-job worker retired for good."""
+            if per_job:
+                if w.served:
+                    ms.dist("exp.pool.reuse", w.served)
+                pl.retire(w, force=force)
+            else:
                 pl.replace(w)
-                if hub is not None:
-                    hub.forget_worker(w.proc.pid)
+            if hub is not None:
+                # Fold the stopped worker's last queued beats first, or
+                # they would re-register it after it is forgotten.
+                hub.drain()
+                hub.forget_worker(w.proc.pid)
 
         def on_message(w, msg) -> None:
             if msg[0] == "ack":
@@ -693,6 +521,8 @@ class ParallelRunner:
                     if nbytes:
                         ms.counter("exp.pool.shm_bytes", nbytes)
             finalize(item, value, seconds, err, spans, metric_rows)
+            if per_job:
+                recycle(w, force=False)
 
         def deadline(w) -> float | None:
             if not w.inflight:
@@ -700,97 +530,108 @@ class ParallelRunner:
             t = self._timeout_for(specs[w.inflight[0].index])
             return None if t is None else w.job_started_at + t
 
-        while queue or any(w.inflight for w in pl.workers):
-            now = time.monotonic()
-            if queue:
-                # Dispatch chunks to idle workers.  A non-chunkable
-                # spec (e.g. an already-batched tensor job) travels
-                # alone so its runtime never hides siblings.
-                ready = deque(p for p in queue if p.ready_at <= now)
-                for w in pl.workers:
-                    if not ready:
+        try:
+            while queue or any(w.inflight for w in pl.workers):
+                now = time.monotonic()
+                if queue:
+                    # Dispatch chunks to idle workers.  A non-chunkable
+                    # spec (e.g. an already-batched tensor job) travels
+                    # alone so its runtime never hides siblings.
+                    ready = deque(p for p in queue if p.ready_at <= now)
+                    if per_job:
+                        idle = sum(1 for w in pl.workers if not w.inflight)
+                        for _ in range(min(len(ready) - idle,
+                                           self.jobs - len(pl.workers))):
+                            pl.add_worker()
+                    for w in list(pl.workers):
+                        if not ready:
+                            break
+                        if w.inflight:
+                            continue
+                        take: list[_Pending] = []
+                        while ready and len(take) < chunk_target:
+                            if take and not specs[ready[0].index].chunkable:
+                                break
+                            take.append(ready.popleft())
+                            if not specs[take[-1].index].chunkable:
+                                break
+                        for item in take:
+                            queue.remove(item)
+                        try:
+                            pl.dispatch(w, settings,
+                                        [specs[p.index] for p in take])
+                        except Exception:
+                            for item in reversed(take):
+                                queue.appendleft(item)
+                            recycle(w, force=True)
+                            continue
+                        w.inflight.extend(take)
+                        w.sent_at = now
+                        w.job_started_at = now
+                        ms.dist("exp.pool.chunk_size", len(take))
+                busy = [w for w in pl.workers if w.inflight]
+                if hub is not None:
+                    # Queue depth counts undispatched jobs plus the tail of
+                    # each worker's chunk (only the chunk head executes).
+                    hub.progress(
+                        len(queue) + sum(len(w.inflight) - 1 for w in busy),
+                        len(busy))
+                if not busy:
+                    if not queue:
                         break
-                    if w.inflight:
+                    # Only backoff-delayed retries remain: sleep until the
+                    # soonest becomes ready.
+                    wake = min(p.ready_at for p in queue)
+                    time.sleep(max(0.0, wake - time.monotonic()))
+                    continue
+                now = time.monotonic()
+                waits = [d - now for w in busy
+                         if (d := deadline(w)) is not None]
+                waits += [p.ready_at - now for p in queue
+                          if p.ready_at > now]
+                timeout = max(0.0, min(waits)) if waits else None
+                if hub is not None:
+                    # Wake at heartbeat granularity so a hung worker is
+                    # noticed (and the stalled gauge raised) well before
+                    # any job timeout fires -- or when there is none.
+                    cap = 2.0 * hub.hb_interval_s
+                    timeout = cap if timeout is None else min(timeout, cap)
+                ready_conns = conn_wait([w.conn for w in busy], timeout)
+                for w in busy:
+                    if w.conn not in ready_conns:
                         continue
-                    take: list[_Pending] = []
-                    while ready and len(take) < chunk_target:
-                        if take and not specs[ready[0].index].chunkable:
-                            break
-                        take.append(ready.popleft())
-                        if not specs[take[-1].index].chunkable:
-                            break
-                    for item in take:
-                        queue.remove(item)
                     try:
-                        pl.dispatch(w, settings,
-                                    [specs[p.index] for p in take])
-                    except Exception:
-                        for item in reversed(take):
-                            queue.appendleft(item)
-                        pl.replace(w)
+                        while w.inflight and w.conn.poll():
+                            on_message(w, w.conn.recv())
+                    except (EOFError, OSError):
+                        on_broken(w)
+                now = time.monotonic()
+                for w in list(pl.workers):
+                    d = deadline(w)
+                    if d is None or d > now:
                         continue
-                    w.inflight.extend(take)
-                    w.sent_at = now
-                    w.job_started_at = now
-                    ms.dist("exp.pool.chunk_size", len(take))
-            busy = [w for w in pl.workers if w.inflight]
-            if hub is not None:
-                # Queue depth counts undispatched jobs plus the tail of
-                # each worker's chunk (only the chunk head executes).
-                hub.progress(
-                    len(queue) + sum(len(w.inflight) - 1 for w in busy),
-                    len(busy))
-            if not busy:
-                if not queue:
-                    break
-                # Only backoff-delayed retries remain: sleep until the
-                # soonest becomes ready.
-                wake = min(p.ready_at for p in queue)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-            now = time.monotonic()
-            waits = [d - now for w in busy
-                     if (d := deadline(w)) is not None]
-            waits += [p.ready_at - now for p in queue
-                      if p.ready_at > now]
-            timeout = max(0.0, min(waits)) if waits else None
-            if hub is not None:
-                # Wake at heartbeat granularity so a hung worker is
-                # noticed (and the stalled gauge raised) well before
-                # any job timeout fires -- or when there is none.
-                cap = 2.0 * hub.hb_interval_s
-                timeout = cap if timeout is None else min(timeout, cap)
-            ready_conns = conn_wait([w.conn for w in busy], timeout)
-            for w in busy:
-                if w.conn not in ready_conns:
-                    continue
-                try:
-                    while w.inflight and w.conn.poll():
-                        on_message(w, w.conn.recv())
-                except (EOFError, OSError):
-                    on_broken(w)
-            now = time.monotonic()
-            for w in list(pl.workers):
-                d = deadline(w)
-                if d is None or d > now:
-                    continue
-                # Drain any result that raced the deadline before
-                # declaring the timeout.
-                try:
-                    while w.inflight and w.conn.poll():
-                        on_message(w, w.conn.recv())
-                except (EOFError, OSError):
-                    on_broken(w)
-                    continue
-                d = deadline(w)
-                if d is not None and d <= now:
-                    fail_head(w, "timeout")
-            if hub is not None:
-                stalled = hub.stalled_pids()
-                if stalled != stalled_prev:
-                    ms.gauge("exp.pool.stalled", len(stalled))
-                    stalled_prev = stalled
+                    # Drain any result that raced the deadline before
+                    # declaring the timeout.
+                    try:
+                        while w.inflight and w.conn.poll():
+                            on_message(w, w.conn.recv())
+                    except (EOFError, OSError):
+                        on_broken(w)
+                        continue
+                    d = deadline(w)
+                    if d is not None and d <= now:
+                        fail_head(w, "timeout")
+                if hub is not None:
+                    stalled = hub.stalled_pids()
+                    if stalled != stalled_prev:
+                        ms.gauge("exp.pool.stalled", len(stalled))
+                        stalled_prev = stalled
 
+        finally:
+            if per_job:
+                if hub is not None:
+                    hub.detach(pl.telemetry)
+                pl.close()
         for w in pl.workers:
             if w.served:
                 ms.dist("exp.pool.reuse", w.served)
@@ -800,25 +641,11 @@ class ParallelRunner:
 
 
 def default_runner() -> ParallelRunner:
-    """Runner configured from the environment.
-
-    ``REPRO_JOBS``         worker count (default 1; ``0`` = all cores)
-    ``REPRO_NO_CACHE``     truthy disables the result cache
-    ``REPRO_CACHE_DIR``    relocates the cache (see :mod:`repro.exp.cache`)
-    ``REPRO_JOB_TIMEOUT``  default per-job timeout in seconds (unset,
-                           empty or invalid means no timeout)
-    ``REPRO_POOL``         scheduler: ``persistent`` (warm shared pool,
-                           default) or ``per-job`` (fresh process per
-                           attempt) -- honoured by every runner that
-                           does not pass ``pool=`` explicitly
-    ``REPRO_CHUNK``        jobs per pool dispatch (``1`` disables
-                           chunking; unset or ``<= 0`` sizes chunks
-                           automatically)
+    """Runner configured from the environment (``REPRO_JOBS``,
+    ``REPRO_NO_CACHE``, ``REPRO_CACHE_DIR``, ``REPRO_JOB_TIMEOUT``,
+    ``REPRO_POOL``, ``REPRO_CHUNK``; see :class:`repro.api.Config`).
 
     Invalid values fall back to the defaults rather than raising, so a
     stray environment variable can never break a batch.
     """
-    # All knobs resolve through repro.api.Config, the one place the
-    # `explicit arg > env > default` rule lives.
-    from ..api.config import Config
     return Config.from_env().runner()

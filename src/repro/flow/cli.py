@@ -470,8 +470,7 @@ def _run_command(args, parser) -> int:
         # already in force keeps its custom location.
         os.environ[obs.live.ENV_TELEMETRY] = "1"
 
-    trace_path = (getattr(args, "trace", None)
-                  or os.environ.get(obs.ENV_TRACE))
+    trace_path = getattr(args, "trace", None) or api.Config.from_env().trace
     record = (args.cmd in ("vpr", "flow", "exp")
               and not getattr(args, "no_run_db", False))
     if not trace_path and not record:

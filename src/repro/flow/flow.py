@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .. import impls, obs
@@ -345,15 +345,24 @@ class DesignFlow:
                    json.dumps(self.result.power.stats(), indent=2))
 
     def program(self) -> bytes:
-        """Stage 6: DAGGER bitstream generation (with readback check)."""
-        db = build_chipdb(self.options.arch,
-                          self.result.placement.grid_size)
+        """Stage 6: DAGGER bitstream generation (with readback check).
+
+        The device is sized for the channel width routing actually used:
+        when fixed-width routing failed and the flow fell back to a
+        wider minimum-W search, the chipdb and bitstream grow to match
+        (a narrower routed W keeps the architecture's width).
+        """
+        arch = self.options.arch
+        if self.result.routing.channel_width > arch.channel_width:
+            arch = replace(arch,
+                           channel_width=self.result.routing.channel_width)
+        db = build_chipdb(arch, self.result.placement.grid_size)
 
         def run():
             return generate_bitstream(
                 self.result.mapped, self.result.clustered,
                 self.result.placement, self.result.routing,
-                self.result.rr_graph, self.options.arch, db=db)
+                self.result.rr_graph, arch, db=db)
         # The concrete chipdb content hash keys the stage: two archs
         # (or two chipdb builds) that lay out a single fuse differently
         # can never share a cached bitstream.

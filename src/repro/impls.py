@@ -12,10 +12,11 @@ each ship two result-identical implementations:
   .py``) and the golden-regression layer compare against.
 
 Selection is per-domain via environment variables, or forced globally
-scalar with ``REPRO_SCALAR_ORACLE=1`` (the CI equivalence leg).  Flow
-code can also pin an implementation explicitly (``FlowOptions.
-place_impl`` / ``route_impl``, the ``impl=`` argument of the experiment
-drivers); an explicit choice always wins over the environment.
+scalar with ``REPRO_SCALAR_ORACLE=1`` (the CI equivalence leg); both
+are parsed by :class:`repro.api.config.Config`.  Flow code can also
+pin an implementation explicitly (``FlowOptions.place_impl`` /
+``route_impl``, the ``impl=`` argument of the experiment drivers); an
+explicit choice always wins over the environment.
 
 Every implementation has a *version tag* that participates in content
 addressing: experiment batch specs carry it as a parameter and the
@@ -25,27 +26,15 @@ scalar ones (and vice versa) even within one code version.
 
 from __future__ import annotations
 
-import os
+from .api.config import (BATCHED, ENV_PLACE_IMPL, ENV_ROUTE_IMPL,
+                         ENV_SCALAR_ORACLE, ENV_SIM_IMPL, INCREMENTAL,
+                         SCALAR, Config)
 
 __all__ = [
     "BATCHED", "ENV_PLACE_IMPL", "ENV_ROUTE_IMPL", "ENV_SCALAR_ORACLE",
     "ENV_SIM_IMPL", "INCREMENTAL", "SCALAR", "impl_version", "place_impl",
     "route_impl", "sim_impl",
 ]
-
-#: Canonical implementation names.
-SCALAR = "scalar"
-BATCHED = "batched"
-INCREMENTAL = "incremental"
-
-#: Force every domain to its scalar oracle (CI differential leg).
-ENV_SCALAR_ORACLE = "REPRO_SCALAR_ORACLE"
-#: Per-domain overrides; value is one of the names above (or "auto").
-ENV_SIM_IMPL = "REPRO_SIM_IMPL"
-ENV_PLACE_IMPL = "REPRO_PLACE_IMPL"
-ENV_ROUTE_IMPL = "REPRO_ROUTE_IMPL"
-
-_TRUTHY = ("1", "true", "yes", "on")
 
 #: Version tags hashed into cache keys (bump on any behavioural change
 #: to the corresponding implementation).
@@ -59,11 +48,7 @@ _VERSIONS = {
 }
 
 
-def _oracle_forced() -> bool:
-    return os.environ.get(ENV_SCALAR_ORACLE, "").lower() in _TRUTHY
-
-
-def _resolve(explicit: str | None, env_var: str, default: str,
+def _resolve(explicit: str | None, field: str, default: str,
              allowed: tuple[str, ...]) -> str:
     """Explicit choice > ``REPRO_SCALAR_ORACLE`` > env var > default."""
     if explicit is not None and explicit != "auto":
@@ -71,28 +56,27 @@ def _resolve(explicit: str | None, env_var: str, default: str,
             raise ValueError(f"unknown implementation {explicit!r} "
                              f"(expected one of {allowed})")
         return explicit
-    if _oracle_forced():
+    cfg = Config.from_env()
+    if cfg.scalar_oracle:
         return SCALAR
-    value = os.environ.get(env_var, "").strip().lower()
-    if value in allowed:
-        return value
-    return default
+    value = getattr(cfg, field)
+    return value if value in allowed else default
 
 
 def sim_impl(explicit: str | None = None) -> str:
     """Transient-simulator implementation: ``batched`` or ``scalar``."""
-    return _resolve(explicit, ENV_SIM_IMPL, BATCHED, (BATCHED, SCALAR))
+    return _resolve(explicit, "sim_impl", BATCHED, (BATCHED, SCALAR))
 
 
 def place_impl(explicit: str | None = None) -> str:
     """Placer implementation: ``incremental`` or ``scalar``."""
-    return _resolve(explicit, ENV_PLACE_IMPL, INCREMENTAL,
+    return _resolve(explicit, "place_impl", INCREMENTAL,
                     (INCREMENTAL, SCALAR))
 
 
 def route_impl(explicit: str | None = None) -> str:
     """Router implementation: ``incremental`` or ``scalar``."""
-    return _resolve(explicit, ENV_ROUTE_IMPL, INCREMENTAL,
+    return _resolve(explicit, "route_impl", INCREMENTAL,
                     (INCREMENTAL, SCALAR))
 
 

@@ -50,6 +50,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from ..api.config import (ENV_HB_INTERVAL, ENV_TELEMETRY, Config,
+                          cache_home)
 from . import metrics as metrics_mod
 from . import trace as trace_mod
 
@@ -60,12 +62,6 @@ __all__ = [
     "serve_metrics", "session_hub", "shutdown", "snapshot_exposition",
 ]
 
-#: Truthy enables the bus; a path value also relocates the live dir.
-ENV_TELEMETRY = "REPRO_TELEMETRY"
-#: Heartbeat period in seconds (default 0.5).
-ENV_HB_INTERVAL = "REPRO_HB_INTERVAL"
-
-DEFAULT_HB_INTERVAL = 0.5
 #: A busy worker is *stalled* once its last heartbeat is older than
 #: ``STALL_FACTOR`` periods -- several beats of slack so one slow
 #: queue drain never false-positives.
@@ -73,31 +69,27 @@ STALL_FACTOR = 4.0
 #: ``top``/``serve-metrics`` treat snapshots older than this as dead.
 FRESH_S = 30.0
 
-_FALSY = ("", "0", "false", "no", "off")
-_ENABLED_LITERALS = ("1", "true", "yes", "on")
-
 
 def enabled() -> bool:
-    """Is the live telemetry bus switched on for this process?"""
-    return os.environ.get(ENV_TELEMETRY, "").strip().lower() \
-        not in _FALSY
+    """Is the live telemetry bus switched on for this process?
+
+    ``REPRO_TELEMETRY``: truthy enables the bus; a path value also
+    relocates the live dir.
+    """
+    return Config.from_env().telemetry
 
 
 def live_dir() -> Path:
     """Directory holding one snapshot file per live session."""
-    raw = os.environ.get(ENV_TELEMETRY, "").strip()
-    if raw and raw.lower() not in _ENABLED_LITERALS + _FALSY:
-        return Path(raw).expanduser()
-    return Path(os.environ.get("XDG_CACHE_HOME",
-                               Path.home() / ".cache")) / "repro" / "live"
+    telemetry_dir = Config.from_env().telemetry_dir
+    if telemetry_dir:
+        return Path(telemetry_dir).expanduser()
+    return cache_home() / "repro" / "live"
 
 
 def hb_interval() -> float:
-    try:
-        value = float(os.environ[ENV_HB_INTERVAL])
-    except (KeyError, ValueError):
-        return DEFAULT_HB_INTERVAL
-    return value if value > 0 else DEFAULT_HB_INTERVAL
+    """Heartbeat period in seconds (``REPRO_HB_INTERVAL``)."""
+    return Config.from_env().hb_interval_s
 
 
 def job_id(spec) -> str:
@@ -299,6 +291,11 @@ class TelemetryHub:
             if any(q is queue for q in self._queues):
                 return
             self._queues.append(queue)
+
+    def detach(self, queue) -> None:
+        """Stop draining a queue whose workers are all gone."""
+        with self._lock:
+            self._queues = [q for q in self._queues if q is not queue]
 
     def batch_started(self, n_jobs: int, *, workers: int = 1,
                       cached: int = 0) -> None:

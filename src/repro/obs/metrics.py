@@ -502,15 +502,16 @@ for _spec in [
                direction="lower"),
     MetricSpec("exp.cache.lru_hits", COUNTER, "hits", "cache reads "
                "served by the in-process LRU layer (no disk I/O)"),
-    # -- persistent worker pool ----------------------------------------
-    MetricSpec("exp.pool.workers", GAUGE, "procs", "warm pooled "
-               "workers serving the batch"),
+    # -- supervised worker pool ----------------------------------------
+    MetricSpec("exp.pool.workers", GAUGE, "procs", "pooled workers "
+               "serving the batch"),
     MetricSpec("exp.pool.spawns", COUNTER, "procs", "pooled worker "
-               "processes spawned (pool creation plus crash/timeout "
-               "replacements)", direction="lower"),
+               "processes spawned (pool creation, crash/timeout "
+               "replacements and per-job fresh workers)",
+               direction="lower"),
     MetricSpec("exp.pool.reuse", DIST, "jobs", "jobs served per pooled "
-               "worker over its lifetime (the per-job scheduler is "
-               "pinned at 1 by construction)", direction="higher"),
+               "worker over its lifetime (pinned at 1 in per-job mode, "
+               "where each worker serves one job)", direction="higher"),
     MetricSpec("exp.pool.chunk_size", DIST, "jobs", "jobs grouped into "
                "one pool dispatch to amortize IPC"),
     MetricSpec("exp.pool.dispatch_s", DIST, "s", "latency from chunk "
@@ -518,7 +519,7 @@ for _spec in [
     MetricSpec("exp.pool.shm_bytes", COUNTER, "B", "result payload "
                "moved through shared memory instead of pipe pickling"),
     MetricSpec("exp.pool.speedup", GAUGE, "x", "measured warm-pool "
-               "speedup over the process-per-job scheduler",
+               "speedup over per-job mode (one fresh worker per job)",
                direction="higher"),
     MetricSpec("exp.pool.stalled", GAUGE, "procs", "busy pooled "
                "workers whose live-telemetry heartbeats have gone "

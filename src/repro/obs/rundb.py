@@ -30,12 +30,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..api.config import ENV_RUN_DB, Config
 from .metrics import MetricSet
 
 __all__ = ["ENV_RUN_DB", "RunDB", "RunRow", "default_db_path", "git_rev"]
-
-#: Environment variable overriding the run DB location.
-ENV_RUN_DB = "REPRO_RUN_DB"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -68,9 +66,9 @@ CREATE TABLE IF NOT EXISTS metrics (
 
 
 def default_db_path() -> Path:
-    env = os.environ.get(ENV_RUN_DB)
-    if env:
-        return Path(env)
+    run_db = Config.from_env().run_db
+    if run_db:
+        return Path(run_db)
     return Path.home() / ".cache" / "repro" / "runs.db"
 
 

@@ -33,15 +33,14 @@ import os
 import time
 from typing import Any, Iterable, Iterator
 
+from ..api.config import ENV_TRACE
+
 __all__ = [
     "ENV_TRACE", "NOOP_SPAN", "Span", "Tracer", "adopt", "capture",
     "current_span", "default_tracer", "emit", "enabled", "gauge",
     "incr", "set_enabled", "set_span_listener", "span",
     "span_listener", "tracer",
 ]
-
-#: Environment variable the CLI honours as a default trace output path.
-ENV_TRACE = "REPRO_TRACE"
 
 #: Hard cap on records held by one tracer (runaway-loop backstop).
 MAX_RECORDS = 100_000

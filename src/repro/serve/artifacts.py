@@ -22,6 +22,8 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from ..api.config import artifact_dir
+
 __all__ = ["ArtifactStore", "default_artifact_dir", "is_artifact_hash"]
 
 _HEX = set("0123456789abcdef")
@@ -38,9 +40,9 @@ def is_artifact_hash(value: str) -> bool:
 
 
 def default_artifact_dir() -> Path:
-    env = os.environ.get("REPRO_ARTIFACT_DIR")
-    if env:
-        return Path(env)
+    root = artifact_dir()
+    if root:
+        return Path(root)
     return Path.home() / ".cache" / "repro" / "artifacts"
 
 

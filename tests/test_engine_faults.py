@@ -366,6 +366,30 @@ class TestPoolFaultMatrix:
         assert len(pids_a) <= 3
 
 
+class TestPerJobIsolation:
+    def test_every_attempt_gets_a_fresh_unshared_worker(self):
+        """``pool="per-job"`` runs on the supervised pool, one job per
+        worker: no worker process ever serves two jobs, none is shared
+        with the warm persistent pool, and none survives its batch."""
+        warm = {w.proc.pid for w in get_pool(2).workers}
+        r = ParallelRunner(jobs=2, cache=NullCache(), pool="per-job")
+        pids = []
+        with obs.metrics.collect() as ms:
+            for batch in range(2):
+                specs = [JobSpec.make("_test_quick", tag=10 * batch + t)
+                         for t in range(6)]
+                res = r.run(specs)
+                assert all(x.ok for x in res)
+                pids += [x.value["pid"] for x in res]
+        assert len(set(pids)) == len(pids) == 12
+        assert not set(pids) & warm
+        assert {w.proc.pid for w in get_pool(2).workers} == warm
+        rows = {row["name"]: row for row in ms.export()}
+        reuse = rows["exp.pool.reuse"]
+        assert reuse["n"] == 12 and reuse["max"] == 1
+        assert rows["exp.pool.spawns"]["total"] == 12
+
+
 class TestPoolDeterminism:
     def test_values_identical_across_workers_chunking_and_modes(
             self, tmp_path):

@@ -615,3 +615,23 @@ class TestEndToEnd:
             shutdown_pools()
         # Healthy workers: the gauge reports zero stalled suspects.
         assert ms.get("exp.pool.stalled") == 0.0
+
+    def test_per_job_workers_leave_no_trace_in_the_hub(self, tmp_path,
+                                                       monkeypatch):
+        """Per-job workers stream telemetry while they run; once each is
+        retired the hub forgets it and drops the batch's private
+        queue, so neither dead workers nor closed queues accumulate."""
+        monkeypatch.setenv(live.ENV_TELEMETRY, str(tmp_path / "live"))
+        monkeypatch.setenv(live.ENV_HB_INTERVAL, "0.05")
+        r = ParallelRunner(jobs=2, use_cache=False, pool="per-job")
+        specs = [JobSpec(kind="selftest",
+                         params={"x": float(i), "sleep_s": 0.1})
+                 for i in range(4)]
+        for _ in range(2):
+            assert all(x.ok for x in r.run(specs))
+        hub = live.session_hub()
+        hub.drain()
+        snap = hub.snapshot()
+        assert snap["totals"]["completed"] == 8
+        assert snap["workers"] == []
+        assert hub._queues == []
