@@ -4,9 +4,9 @@ The transient simulator, the annealing placer and the PathFinder router
 each ship two result-identical implementations:
 
 * a **vectorized** one (the default): the batched tensor transient
-  engine (:mod:`repro.circuit.batchsim`), the incremental-cost placer
-  and the incremental router cost structures -- the fast paths every
-  sweep and flow run uses;
+  engine (:mod:`repro.circuit.batchsim`), the array-native annealing
+  placer (:mod:`repro.place.placer`) and the incremental router cost
+  structures -- the fast paths every sweep and flow run uses;
 * the original **scalar** one, kept as the *differential oracle*: the
   reference the equivalence suite (``tests/test_vectorized_equivalence
   .py``) and the golden-regression layer compare against.
@@ -69,7 +69,7 @@ def sim_impl(explicit: str | None = None) -> str:
 
 
 def place_impl(explicit: str | None = None) -> str:
-    """Placer implementation: ``incremental`` or ``scalar``."""
+    """Placer implementation: ``incremental`` (array-native) or ``scalar``."""
     return _resolve(explicit, "place_impl", INCREMENTAL,
                     (INCREMENTAL, SCALAR))
 

@@ -477,9 +477,10 @@ for _spec in [
                "attempted"),
     MetricSpec("place.bbox_cost", GAUGE, "bb", "final placement cost",
                direction="lower", rel_tol=0.02, gate=True),
-    MetricSpec("place.incremental_evals", COUNTER, "evals", "move "
-               "evaluations served by the incremental bounding-box "
-               "cost structures"),
+    MetricSpec("place.incremental_evals", COUNTER, "evals", "net "
+               "bounding boxes re-costed by the array annealer, summed "
+               "over all moves (per move: the nets of the moved "
+               "blocks, less those shared by both blocks of a swap)"),
     MetricSpec("route.iterations", COUNTER, "iters", "PathFinder "
                "rip-up/re-route iterations", direction="lower"),
     MetricSpec("route.overused", GAUGE, "nodes", "overused rr-nodes at "

@@ -9,6 +9,11 @@ limit (Rlim), and the standard exit criterion
 Blocks are the packed clusters plus one IO pad block per primary
 input/output; sites come from the
 :class:`~repro.arch.fabric.FabricGrid`.
+
+One annealing schedule drives one of two bit-identical move engines
+(:func:`repro.impls.place_impl`): the default array-native
+:class:`_ArrayAnnealer`, or the scalar oracle ``_try_move`` over
+``_ScalarCost``, kept as its differential reference.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import itemgetter
 
 from .. import impls, obs
 from ..arch.fabric import FabricGrid, Site
@@ -76,7 +80,7 @@ def wirelength_cost(placement: dict[str, Site],
 class _ScalarCost:
     """Reference cost model: full per-net bbox recompute on every move.
 
-    This is the original (oracle) implementation; ``_IncrementalCost``
+    This is the original (oracle) implementation; ``_ArrayAnnealer``
     must reproduce its accept/reject decisions bit-for-bit, so every
     float operation here defines the contract: deltas accumulate
     left-to-right over ``sorted(affected)`` and the drift-cancel total
@@ -122,167 +126,206 @@ class _ScalarCost:
         return sum(self.net_cost.values())
 
 
-class _IncrementalCost:
-    """O(pins-moved) cost model with per-net running bbox bounds.
+class _ArrayAnnealer:
+    """Array-native annealing moves, bit-exact with the scalar oracle.
 
-    Each net keeps one flat record ``[min_x, c_min_x, max_x, c_max_x,
-    min_y, c_min_y, max_y, c_max_y, cost]`` where the ``c_*`` entries
-    count how many member blocks sit on that boundary; a move updates
-    only the nets touching the moved blocks in O(1), rescanning an
-    axis over the net's members only when a boundary count drops to
-    zero.  Net ids are assigned in sorted-name order so iterating ids
-    ascending reproduces the scalar model's ``sorted(affected)``
-    float-summation order exactly; spans stay python ints and costs
-    are the same ``q * span`` product, so every delta is bit-identical
-    to :class:`_ScalarCost`.
+    Blocks are ints in ``loc`` order (CLBs, then IO pads) and sites are
+    ints (the grid's CLB sites, then its IO sites); coordinates,
+    block->site and site->occupant live in flat lists.  Net ids follow
+    sorted net names, so a block's ascending net-id tuple reproduces
+    the oracle's ``sorted(affected)`` float-summation order.  A move
+    recomputes each touched net's bbox from its members; nets holding
+    both blocks of a swap (and single-block nets) are skipped, since
+    their cost cannot change and their delta is exactly ``+0.0``.
+
+    :meth:`sweep` makes the same RNG draws in the same order as
+    :func:`_try_move` (``choice``/``randint`` resolve to one
+    ``_randbelow`` each), and an IO target is an index into the
+    oracle's candidate pool ``free IO sites ++ other movable IO
+    blocks`` without building it; the free-IO list keeps the oracle's
+    remove/append order on commit and revert.  Placements, costs and
+    the ``loc`` order are therefore identical to ``impl="scalar"``.
     """
 
-    def __init__(self, loc: dict[str, Site], nets: dict[str, dict]):
-        names = sorted(nets)
-        self.idx = {n: i for i, n in enumerate(names)}
-        self.bid = {b: i for i, b in enumerate(loc)}
+    def __init__(self, rng: random.Random, loc: dict[str, Site],
+                 free_io: list[Site], movable: list[str],
+                 nets: dict[str, dict], grid: FabricGrid):
+        self.rng = rng
+        gs = self.gs = grid.size
+        clb_sites = grid.clb_sites()
+        self.sites = sites = clb_sites + grid.io_sites()
+        sid = {s: i for i, s in enumerate(sites)}
+        self.n_clb = len(clb_sites)
+        self.sx = [s.x for s in sites]
+        self.sy = [s.y for s in sites]
+        # CLB site id at (x, y), flat-indexed by x * (gs + 1) + y.
+        self.clb_at = [-1] * (gs + 1) ** 2
+        for i, s in enumerate(clb_sites):
+            self.clb_at[s.x * (gs + 1) + s.y] = i
+
+        self.names = list(loc)
+        bid = {b: i for i, b in enumerate(self.names)}
+        self.bsite = [sid[s] for s in loc.values()]
         self.bx = [s.x for s in loc.values()]
         self.by = [s.y for s in loc.values()]
-        nn = len(names)
-        self.q = [0.0] * nn
-        self.members: list[list[int]] = [[] for _ in range(nn)]
-        self.bounds: list[list] = [[] for _ in range(nn)]
-        self._by_block: list[list[int]] = [[] for _ in self.bid]
-        for name, net in nets.items():
-            i = self.idx[name]
+        self.occ = [-1] * len(sites)
+        for b, s in enumerate(self.bsite):
+            self.occ[s] = b
+        self.free_io = [sid[s] for s in free_io]
+        self.movable = [bid[b] for b in movable]
+        # Movable IO blocks in ``movable`` order, and each one's index.
+        self.mov_io = [b for b in self.movable
+                       if self.bsite[b] >= self.n_clb]
+        self.io_pos = {b: j for j, b in enumerate(self.mov_io)}
+
+        order = sorted(nets)
+        nid = {n: i for i, n in enumerate(order)}
+        self.q = []
+        self.mem = []
+        self.cost = []
+        # Coordinate getters for nets of 3+ blocks; 2-block nets are
+        # costed inline from ``mem``.
+        self.get = []
+        bnets: list[list[int]] = [[] for _ in self.names]
+        for i, name in enumerate(order):
+            net = nets[name]
             pins = [net["driver"], *net["sinks"]]
-            self.q[i] = _q(len(pins))
-            uniq = sorted({self.bid[b] for b in pins})
-            self.members[i] = uniq
-            for b in uniq:
-                self._by_block[b].append(i)
-            xs = [self.bx[b] for b in uniq]
-            ys = [self.by[b] for b in uniq]
-            mnx, mxx = min(xs), max(xs)
-            mny, mxy = min(ys), max(ys)
-            span = (mxx - mnx + 1) + (mxy - mny + 1)
-            self.bounds[i] = [mnx, xs.count(mnx), mxx, xs.count(mxx),
-                              mny, ys.count(mny), mxy, ys.count(mxy),
-                              self.q[i] * span]
-        # Drift-cancel totals must sum in nets-dict insertion order to
-        # match the scalar model's sum(net_cost.values()).
-        self._order = [self.idx[n] for n in nets]
+            mem = tuple(sorted({bid[p] for p in pins}))
+            self.q.append(_q(len(pins)))
+            self.mem.append(mem)
+            self.get.append(itemgetter(*mem) if len(mem) > 2 else None)
+            self.cost.append(_net_bbox_cost(loc, net))
+            if len(mem) > 1:
+                for b in mem:
+                    bnets[b].append(i)
+        self.bnets = [tuple(ns) for ns in bnets]
+        # Drift-cancel totals sum in nets-dict order, as the oracle does.
+        self.order = [nid[n] for n in nets]
         self.evals = 0
-        self._snap: list[tuple[int, list]] = []
-
-    def affected(self, block: str, other: str | None) -> list[int]:
-        s = set(self._by_block[self.bid[block]])
-        if other is not None:
-            s |= set(self._by_block[self.bid[other]])
-        return sorted(s)
-
-    def trial(self, affected: list[int], moves) -> float:
-        self.evals += len(affected)
-        bounds = self.bounds
-        bx = self.bx
-        by = self.by
-        q = self.q
-        snap = [(i, bounds[i].copy()) for i in affected]
-        self._snap = snap
-        # Apply one move at a time so any axis rescan sees coordinates
-        # consistent with the bounds being rebuilt.
-        for blk, old_site, new_site in moves:
-            bid = self.bid[blk]
-            ox = old_site.x
-            oy = old_site.y
-            wx = new_site.x
-            wy = new_site.y
-            bx[bid] = wx
-            by[bid] = wy
-            for i in self._by_block[bid]:
-                b = bounds[i]
-                changed = False
-                if wx != ox:
-                    m = b[0]
-                    M = b[2]
-                    cm = b[1]
-                    cM = b[3]
-                    if ox == m:
-                        cm -= 1
-                    if ox == M:
-                        cM -= 1
-                    # A stale m/M is still a valid lower/upper bound
-                    # of the remaining members, so these comparisons
-                    # hold even when a count just dropped to zero.
-                    if wx < m:
-                        b[0] = wx
-                        cm = 1
-                    elif wx == m:
-                        cm += 1
-                    if wx > M:
-                        b[2] = wx
-                        cM = 1
-                    elif wx == M:
-                        cM += 1
-                    if cm <= 0 or cM <= 0:
-                        xs = [bx[mm] for mm in self.members[i]]
-                        mn = min(xs)
-                        b[0] = mn
-                        cm = xs.count(mn)
-                        mx = max(xs)
-                        b[2] = mx
-                        cM = xs.count(mx)
-                    b[1] = cm
-                    b[3] = cM
-                    changed = True
-                if wy != oy:
-                    m = b[4]
-                    M = b[6]
-                    cm = b[5]
-                    cM = b[7]
-                    if oy == m:
-                        cm -= 1
-                    if oy == M:
-                        cM -= 1
-                    if wy < m:
-                        b[4] = wy
-                        cm = 1
-                    elif wy == m:
-                        cm += 1
-                    if wy > M:
-                        b[6] = wy
-                        cM = 1
-                    elif wy == M:
-                        cM += 1
-                    if cm <= 0 or cM <= 0:
-                        ys = [by[mm] for mm in self.members[i]]
-                        mn = min(ys)
-                        b[4] = mn
-                        cm = ys.count(mn)
-                        mx = max(ys)
-                        b[6] = mx
-                        cM = ys.count(mx)
-                    b[5] = cm
-                    b[7] = cM
-                    changed = True
-                if changed:
-                    b[8] = q[i] * ((b[2] - b[0] + 1)
-                                   + (b[6] - b[4] + 1))
-        delta = 0.0
-        for i, saved in snap:
-            delta += bounds[i][8] - saved[8]
-        return delta
-
-    def revert(self, affected: list[int], moves) -> None:
-        for blk, old_site, _new in moves:
-            bid = self.bid[blk]
-            self.bx[bid] = old_site.x
-            self.by[bid] = old_site.y
-        bounds = self.bounds
-        for i, saved in self._snap:
-            bounds[i][:] = saved
 
     def total(self) -> float:
-        c = 0.0
-        bounds = self.bounds
-        for i in self._order:
-            c += bounds[i][8]
-        return c
+        return sum(map(self.cost.__getitem__, self.order))
+
+    def write_back(self, loc: dict[str, Site]) -> None:
+        """Store the current placement into ``loc`` (order unchanged)."""
+        sites = self.sites
+        for name, s in zip(self.names, self.bsite):
+            loc[name] = sites[s]
+
+    def sweep(self, n_moves: int, t: float, rlim: float, cost: float,
+              deltas: list[float] | None = None) -> tuple[int, float]:
+        """Attempt ``n_moves`` moves at temperature ``t``.
+
+        Returns the accepted count and ``cost`` plus each accepted
+        delta, added in move order.  With ``deltas`` given every move
+        commits and its delta is appended (the initial-temperature
+        probe, the oracle's ``commit_always``).
+        """
+        randbelow = self.rng._randbelow
+        rand = self.rng.random
+        exp = math.exp
+        always = deltas is not None
+        gs = self.gs
+        g1 = gs + 1
+        n_clb = self.n_clb
+        sx, sy, clb_at = self.sx, self.sy, self.clb_at
+        bsite, bx, by, occ = self.bsite, self.bx, self.by, self.occ
+        free_io, mov_io, io_pos = self.free_io, self.mov_io, self.io_pos
+        q, mem, get = self.q, self.mem, self.get
+        net_cost, bnets = self.cost, self.bnets
+        movable = self.movable
+        n_mov = len(movable)
+        n_free = len(free_io)
+        n_pool = n_free + len(mov_io) - 1
+        r = max(1, int(rlim))
+        width = 2 * r + 1
+        accepted = evals = 0
+
+        for _ in range(n_moves):
+            b = movable[randbelow(n_mov)]
+            s = bsite[b]
+            x = bx[b]
+            y = by[b]
+            j = -1
+            if s < n_clb:
+                nx = x + randbelow(width) - r
+                nx = 1 if nx < 1 else gs if nx > gs else nx
+                ny = y + randbelow(width) - r
+                ny = 1 if ny < 1 else gs if ny > gs else ny
+                tgt = clb_at[nx * g1 + ny]
+                if tgt == s:
+                    continue
+            else:
+                if n_pool <= 0:
+                    continue
+                j = randbelow(n_pool)
+                if j < n_free:
+                    tgt = free_io[j]
+                else:
+                    k = j - n_free
+                    if k >= io_pos[b]:
+                        k += 1
+                    tgt = bsite[mov_io[k]]
+            o = occ[tgt]
+            tx = sx[tgt]
+            ty = sy[tgt]
+
+            # Tentatively apply, then cost every net whose bbox can move.
+            bx[b] = tx
+            by[b] = ty
+            if o < 0:
+                affected = bnets[b]
+            else:
+                bx[o] = x
+                by[o] = y
+                affected = sorted(set(bnets[b]).symmetric_difference(
+                    bnets[o]))
+            evals += len(affected)
+            delta = 0.0
+            new = []
+            for i in affected:
+                g = get[i]
+                if g is None:
+                    u, v = mem[i]
+                    dx = bx[u] - bx[v]
+                    dy = by[u] - by[v]
+                    c = q[i] * ((dx if dx > 0 else -dx)
+                                + (dy if dy > 0 else -dy) + 2)
+                else:
+                    xs = g(bx)
+                    ys = g(by)
+                    c = q[i] * (max(xs) - min(xs) + max(ys) - min(ys) + 2)
+                new.append(c)
+                delta += c - net_cost[i]
+
+            if always or delta <= 0 or rand() < exp(-delta / t):
+                for i, c in zip(affected, new):
+                    net_cost[i] = c
+                bsite[b] = tgt
+                occ[tgt] = b
+                if o < 0:
+                    occ[s] = -1
+                    if j >= 0:
+                        del free_io[j]
+                        free_io.append(s)
+                else:
+                    bsite[o] = s
+                    occ[s] = o
+                accepted += 1
+                cost += delta
+                if always:
+                    deltas.append(delta)
+            else:
+                bx[b] = x
+                by[b] = y
+                if o >= 0:
+                    bx[o] = tx
+                    by[o] = ty
+                elif j >= 0:
+                    del free_io[j]
+                    free_io.append(tgt)
+        self.evals += evals
+        return accepted, cost
 
 
 def place(cn: ClusteredNetlist, arch: ArchParams, *,
@@ -291,10 +334,10 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
     """Place a clustered netlist; returns the final :class:`Placement`.
 
     ``effort`` scales the moves-per-temperature count (1.0 = the VPR
-    default ``10 * n_blocks^1.33``).  ``impl`` picks the cost model
-    (:data:`repro.impls.SCALAR` oracle or the default
-    :data:`repro.impls.INCREMENTAL`); both produce identical
-    placements for the same seed.
+    default ``10 * n_blocks^1.33``).  ``impl`` picks the move engine
+    (the default :data:`repro.impls.INCREMENTAL`, the array-native
+    annealer, or the :data:`repro.impls.SCALAR` oracle); both produce
+    identical placements for the same seed.
     """
     impl = impls.place_impl(impl)
     rng = random.Random(seed)
@@ -325,29 +368,43 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
     for b, s in zip(io_blocks, io_sites):
         loc[b] = s
 
-    occupant: dict[tuple, str] = {s.key(): b for b, s in loc.items()}
-    free_sites = {"clb": [s for s in clb_sites[len(clb_blocks):]],
-                  "io": [s for s in io_sites[len(io_blocks):]]}
-
-    # Net membership per block for incremental cost updates.
+    # Net membership per block (movability, and the oracle's move costs).
     nets_of: dict[str, list[str]] = {}
     for name, net in nets.items():
         for b in {net["driver"], *net["sinks"]}:
             nets_of.setdefault(b, []).append(name)
 
-    if impl == impls.INCREMENTAL:
-        model = _IncrementalCost(loc, nets)
-    else:
-        model = _ScalarCost(loc, nets, nets_of)
-    cost = model.total()
-
     blocks = clb_blocks + io_blocks
     movable = [b for b in blocks if nets_of.get(b)]
+    free_io = io_sites[len(io_blocks):]
     if not movable or not nets:
+        cost = wirelength_cost(loc, nets)
         obs.emit("place.anneal", blocks=len(blocks), nets=len(nets),
                  grid=grid_size, seed=seed, temps=0, moves=0,
                  accepted=0, cost=round(cost, 3))
         return Placement(arch, grid_size, loc, cost, nets)
+
+    if impl == impls.INCREMENTAL:
+        model = _ArrayAnnealer(rng, loc, free_io, movable, nets, grid)
+        sweep = model.sweep
+    else:
+        model = _ScalarCost(loc, nets, nets_of)
+        occupant = {s.key(): b for b, s in loc.items()}
+        free_sites = {"clb": clb_sites[len(clb_blocks):], "io": free_io}
+
+        def sweep(n_moves, t, rlim, cost, deltas=None):
+            accepted = 0
+            for _ in range(n_moves):
+                d = _try_move(rng, loc, occupant, free_sites, movable,
+                              grid_size, model, t=t, rlim=rlim,
+                              commit_always=deltas is not None)
+                if d is not None:
+                    accepted += 1
+                    cost += d
+                    if deltas is not None:
+                        deltas.append(d)
+            return accepted, cost
+    cost = model.total()
 
     # The annealer is the flow's hottest loop; the span aggregates its
     # totals as attributes (no per-move tracer work -- plain local
@@ -355,15 +412,9 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
     with obs.span("place.anneal", blocks=len(blocks), nets=len(nets),
                   grid=grid_size, seed=seed) as sp:
         # Initial temperature: VPR uses 20 * std-dev of random deltas.
-        deltas = []
-        for _ in range(min(50, 5 * len(movable))):
-            d = _try_move(rng, loc, occupant, free_sites, movable,
-                          grid_size, model,
-                          t=float("inf"), rlim=grid_size,
-                          commit_always=True)
-            if d is not None:
-                deltas.append(d)
-                cost += d
+        deltas: list[float] = []
+        _, cost = sweep(min(50, 5 * len(movable)), float("inf"),
+                        grid_size, cost, deltas)
         std = (sum(d * d for d in deltas) / len(deltas)) ** 0.5 \
             if deltas else 1.0
         t = 20.0 * max(std, 1e-6)
@@ -373,13 +424,7 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
         n_temps = n_moves = n_accepted = 0
 
         while t >= 0.005 * max(cost, 1e-9) / len(nets):
-            accepted = 0
-            for _ in range(moves_per_t):
-                d = _try_move(rng, loc, occupant, free_sites, movable,
-                              grid_size, model, t=t, rlim=rlim)
-                if d is not None:
-                    accepted += 1
-                    cost += d
+            accepted, cost = sweep(moves_per_t, t, rlim, cost)
             rate = accepted / moves_per_t
             n_temps += 1
             n_moves += moves_per_t
@@ -397,6 +442,8 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
             # Periodic full recompute to cancel floating-point drift.
             cost = model.total()
 
+        if impl == impls.INCREMENTAL:
+            model.write_back(loc)
         cost = wirelength_cost(loc, nets)
         sp.set_attr(temps=n_temps, moves=n_moves, accepted=n_accepted,
                     cost=round(cost, 3))
